@@ -156,6 +156,16 @@ impl BloomChain {
             .map(|s| s.info.id)
     }
 
+    /// True if filter `id` is still in the chain. Ids are issued in
+    /// increasing order and only the oldest filter is ever dropped, so the
+    /// live ids are exactly `oldest_id..=active_id`.
+    pub fn is_live(&self, id: FilterId) -> bool {
+        match (self.oldest_id(), self.active_id()) {
+            (Some(oldest), Some(active)) => (oldest..=active).contains(&id),
+            _ => false,
+        }
+    }
+
     /// Drops the oldest filter, shortening the retention window; returns its
     /// metadata so the caller can reclaim the delta blocks dedicated to it.
     pub fn drop_oldest(&mut self) -> Option<SealedInfo> {
@@ -233,6 +243,23 @@ mod tests {
         }
         c.insert(7, 50); // also in filter 1
         assert_eq!(c.find(7), Some(1));
+    }
+
+    #[test]
+    fn is_live_matches_the_live_infos() {
+        let mut c = small();
+        assert!(!c.is_live(0));
+        for i in 0..13 {
+            c.insert(i, i * 10);
+        }
+        c.drop_oldest();
+        for id in 0..6 {
+            assert_eq!(
+                c.is_live(id),
+                c.infos().iter().any(|i| i.id == id),
+                "id {id}"
+            );
+        }
     }
 
     #[test]

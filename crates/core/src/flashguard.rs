@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use almanac_flash::{BlockId, FlashArray, Lpa, Nanos, Oob, PageData, Ppa, DAY_NS};
+use almanac_flash::{FlashArray, Lpa, Nanos, Oob, PageData, Ppa, DAY_NS};
 
 use crate::alloc::Allocator;
 use crate::config::SsdConfig;
@@ -79,7 +79,7 @@ impl FlashGuardSsd {
             flash,
             amt: Amt::new(config.exported_pages()),
             pvt: Pvt::new(geo.total_pages()),
-            bst: Bst::new(geo.total_blocks()),
+            bst: Bst::new(geo.total_blocks(), geo.pages_per_block),
             alloc: Allocator::new(geo),
             stats: DeviceStats::default(),
             busy_until: 0,
@@ -171,9 +171,8 @@ impl FlashGuardSsd {
             self.bst.get_mut(b).kind = BlockKind::Data;
         }
         let finish = self.flash.program(ppa, data, Oob::new(lpa, None, ts), at)?;
-        let info = self.bst.get_mut(self.config.geometry.block_of(ppa));
-        info.written += 1;
-        info.valid += 1;
+        self.bst
+            .count_program(self.config.geometry.block_of(ppa), true);
         self.pvt.set(ppa, true);
         self.read_bit[ppa.0 as usize] = false;
         if let AmtEntry::Mapped(old) = self.amt.set(lpa, AmtEntry::Mapped(ppa)) {
@@ -187,23 +186,9 @@ impl FlashGuardSsd {
         self.retained.retain(|_, r| r.invalidated_at >= horizon);
     }
 
-    fn pick_victim(&self) -> Option<BlockId> {
-        let ppb = self.config.geometry.pages_per_block;
-        self.bst
-            .iter()
-            .filter(|(b, info)| {
-                info.kind == BlockKind::Data
-                    && info.written == ppb
-                    && info.invalid() > 0
-                    && !self.alloc.is_active(*b)
-            })
-            .max_by_key(|(_, info)| info.invalid())
-            .map(|(b, _)| b)
-    }
-
     fn gc_once(&mut self, now: Nanos) -> Result<bool> {
         self.expire_victims(now);
-        let Some(victim) = self.pick_victim() else {
+        let Some(victim) = self.bst.gc_victim(|b| self.alloc.is_active(b)) else {
             return Ok(false);
         };
         let geo = self.config.geometry;
@@ -231,10 +216,8 @@ impl FlashGuardSsd {
             let wt = self.flash.program(new_ppa, data, oob, t)?;
             self.stats.gc_programs += 1;
             t = wt;
-            let info = self.bst.get_mut(geo.block_of(new_ppa));
-            info.written += 1;
+            self.bst.count_program(geo.block_of(new_ppa), is_valid);
             if is_valid {
-                info.valid += 1;
                 self.pvt.set(ppa, false);
                 self.bst.get_mut(geo.block_of(ppa)).valid -= 1;
                 self.pvt.set(new_ppa, true);

@@ -52,7 +52,8 @@ pub use mapcache::{MapCache, ShardedMapCache};
 pub use regular::RegularSsd;
 pub use stats::{DeviceStats, LatencyAcc};
 pub use tables::{
-    Amt, AmtEntry, BlockInfo, BlockKind, Bst, Gmd, Imt, Prt, Pvt, ShardedAmt, ShardedImt,
+    Amt, AmtEntry, BlockInfo, BlockInfoMut, BlockKind, Bst, Gmd, Imt, Prt, Pvt, ShardedAmt,
+    ShardedImt,
 };
 pub use timessd::check::{ConsistencyReport, Violation};
 pub use timessd::query::{SsdReadView, VersionInfo, VersionLocation};

@@ -6,7 +6,7 @@
 //! wear-leveling swaps. Invalid pages are reclaimed immediately — nothing is
 //! retained.
 
-use almanac_flash::{BlockId, FlashArray, Lpa, Nanos, Oob, PageData, Ppa};
+use almanac_flash::{FlashArray, Lpa, Nanos, Oob, PageData, Ppa};
 
 use crate::alloc::Allocator;
 use crate::config::SsdConfig;
@@ -64,7 +64,7 @@ impl RegularSsd {
             amt: Amt::new(exported),
             gmd: Gmd::new(exported, mappings_per_page),
             pvt: Pvt::new(geo.total_pages()),
-            bst: Bst::new(geo.total_blocks()),
+            bst: Bst::new(geo.total_blocks(), geo.pages_per_block),
             alloc: Allocator::new(geo),
             stats: DeviceStats::default(),
             busy_until: 0,
@@ -132,10 +132,8 @@ impl RegularSsd {
         let finish = self
             .flash
             .program(ppa, data, Oob::new(lpa, back_ptr, ts), at)?;
-        let block = self.config.geometry.block_of(ppa);
-        let info = self.bst.get_mut(block);
-        info.written += 1;
-        info.valid += 1;
+        self.bst
+            .count_program(self.config.geometry.block_of(ppa), true);
         self.pvt.set(ppa, true);
         if let AmtEntry::Mapped(old) = self.amt.set(lpa, AmtEntry::Mapped(ppa)) {
             self.invalidate(old);
@@ -144,24 +142,9 @@ impl RegularSsd {
         Ok(finish)
     }
 
-    /// Picks the closed data block with the most invalid pages.
-    fn pick_victim(&self) -> Option<BlockId> {
-        let ppb = self.config.geometry.pages_per_block;
-        self.bst
-            .iter()
-            .filter(|(b, info)| {
-                info.kind == BlockKind::Data
-                    && info.written == ppb
-                    && info.invalid() > 0
-                    && !self.alloc.is_active(*b)
-            })
-            .max_by_key(|(_, info)| info.invalid())
-            .map(|(b, _)| b)
-    }
-
     /// One GC pass: migrate valid pages out of the victim, erase it.
     fn gc_once(&mut self, now: Nanos) -> Result<bool> {
-        let Some(victim) = self.pick_victim() else {
+        let Some(victim) = self.bst.gc_victim(|b| self.alloc.is_active(b)) else {
             return Ok(false);
         };
         let geo = self.config.geometry;

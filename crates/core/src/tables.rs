@@ -7,7 +7,8 @@
 //! Bloom filters (in `almanac-bloom`), and the delta buffers (in
 //! `timessd::deltas`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::{Deref, DerefMut};
 use std::sync::{RwLock, RwLockReadGuard};
 
 use almanac_bloom::FilterId;
@@ -290,17 +291,149 @@ impl BlockInfo {
     }
 }
 
+/// Closed data blocks bucketed by one integer score in `1..=max_score`:
+/// per score, a count of the blocks in the bucket followed by a bitset over
+/// the block ids, so the best-scoring block is found by walking scores down
+/// from the top instead of scanning every block. Blocks scoring 0 are never
+/// indexed. One flat allocation keeps device construction cheap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ScoreBuckets {
+    /// `u64`s per score row: one count plus the bitset words.
+    stride: usize,
+    /// Score `s` owns `rows[s * stride..(s + 1) * stride]`: the count, then
+    /// the bitset.
+    rows: Vec<u64>,
+}
+
+impl ScoreBuckets {
+    fn new(total_blocks: usize, max_score: u32) -> Self {
+        let stride = 1 + total_blocks.div_ceil(64);
+        ScoreBuckets {
+            stride,
+            rows: vec![0; (max_score as usize + 1) * stride],
+        }
+    }
+
+    /// Sets or clears `block`'s bit in `score`'s bucket, keeping the count
+    /// in step. Idempotent, and a no-op for score 0, so it cannot panic on
+    /// the guard's drop path.
+    fn set(&mut self, score: u32, block: usize, present: bool) {
+        if score == 0 {
+            return;
+        }
+        let row = score as usize * self.stride;
+        let word = &mut self.rows[row + 1 + block / 64];
+        let mask = 1u64 << (block % 64);
+        if (*word & mask != 0) == present {
+            return;
+        }
+        *word ^= mask;
+        if present {
+            self.rows[row] += 1;
+        } else {
+            self.rows[row] -= 1;
+        }
+    }
+
+    /// Moves `block` from bucket `from` to bucket `to`.
+    fn rescore(&mut self, from: u32, to: u32, block: usize) {
+        if from != to {
+            self.set(from, block, false);
+            self.set(to, block, true);
+        }
+    }
+
+    /// The highest-scoring block that `skip` does not reject; ties go to the
+    /// highest block id — the block a `max_by_key` scan in block order
+    /// returns.
+    fn best(&self, skip: impl Fn(BlockId) -> bool) -> Option<BlockId> {
+        for row in self.rows.chunks_exact(self.stride).skip(1).rev() {
+            if row[0] == 0 {
+                continue;
+            }
+            for (w, &word) in row[1..].iter().enumerate().rev() {
+                let mut word = word;
+                while word != 0 {
+                    let bit = 63 - word.leading_zeros() as usize;
+                    let block = BlockId((w * 64 + bit) as u64);
+                    if !skip(block) {
+                        return Some(block);
+                    }
+                    word &= !(1 << bit);
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The two victim scores of a *closed* data block (every page programmed):
+/// invalid pages (greedy GC, §3.8) and invalid pages not yet reclaimable
+/// (retained, uncompressed — the §3.6 idle-compression victim). Any other
+/// block scores `(0, 0)` and sits in no bucket.
+fn victim_scores(info: &BlockInfo, pages_per_block: u32) -> (u32, u32) {
+    if info.kind != BlockKind::Data || info.written != pages_per_block {
+        return (0, 0);
+    }
+    let invalid = info.written.saturating_sub(info.valid);
+    (invalid, invalid.saturating_sub(info.reclaimable))
+}
+
 /// Block status table ③ plus the delta-block extension.
+///
+/// Besides the per-block entries it keeps three indices, updated at the
+/// table's only mutation points ([`Bst::get_mut`]'s guard and
+/// [`Bst::reset`]), so the GC and idle-compression victims and the expired
+/// delta blocks are found without scanning every block:
+/// - closed data blocks bucketed by invalid pages;
+/// - closed data blocks bucketed by invalid minus reclaimable pages;
+/// - an ordered map of the delta blocks to their Bloom filter.
 #[derive(Debug, Clone)]
 pub struct Bst {
     blocks: Vec<BlockInfo>,
+    pages_per_block: u32,
+    by_invalid: ScoreBuckets,
+    by_retained: ScoreBuckets,
+    delta_blocks: BTreeMap<BlockId, FilterId>,
+}
+
+/// Mutable access to one [`BlockInfo`]; re-indexes the block when dropped.
+pub struct BlockInfoMut<'a> {
+    bst: &'a mut Bst,
+    block: BlockId,
+    before: BlockInfo,
+}
+
+impl Deref for BlockInfoMut<'_> {
+    type Target = BlockInfo;
+
+    fn deref(&self) -> &BlockInfo {
+        &self.bst.blocks[self.block.0 as usize]
+    }
+}
+
+impl DerefMut for BlockInfoMut<'_> {
+    fn deref_mut(&mut self) -> &mut BlockInfo {
+        &mut self.bst.blocks[self.block.0 as usize]
+    }
+}
+
+impl Drop for BlockInfoMut<'_> {
+    fn drop(&mut self) {
+        self.bst.reindex(self.block, self.before);
+    }
 }
 
 impl Bst {
-    /// All-free table.
-    pub fn new(total_blocks: u64) -> Self {
+    /// All-free table over `total_blocks` blocks of `pages_per_block` pages.
+    pub fn new(total_blocks: u64, pages_per_block: u32) -> Self {
+        let n = total_blocks as usize;
         Bst {
-            blocks: vec![BlockInfo::default(); total_blocks as usize],
+            blocks: vec![BlockInfo::default(); n],
+            pages_per_block,
+            by_invalid: ScoreBuckets::new(n, pages_per_block),
+            by_retained: ScoreBuckets::new(n, pages_per_block),
+            delta_blocks: BTreeMap::new(),
         }
     }
 
@@ -309,9 +442,23 @@ impl Bst {
         &self.blocks[block.0 as usize]
     }
 
-    /// Mutable block info.
-    pub fn get_mut(&mut self, block: BlockId) -> &mut BlockInfo {
-        &mut self.blocks[block.0 as usize]
+    /// Mutable block info. The returned guard re-indexes the block when it
+    /// drops, so no caller can leave the indices stale.
+    pub fn get_mut(&mut self, block: BlockId) -> BlockInfoMut<'_> {
+        let before = self.blocks[block.0 as usize];
+        BlockInfoMut {
+            bst: self,
+            block,
+            before,
+        }
+    }
+
+    /// Counts one newly programmed page of `block`; `valid` when it holds
+    /// the live version of its LPA.
+    pub fn count_program(&mut self, block: BlockId, valid: bool) {
+        let mut info = self.get_mut(block);
+        info.written += 1;
+        info.valid += u32::from(valid);
     }
 
     /// Iterates `(block, info)` pairs.
@@ -324,7 +471,62 @@ impl Bst {
 
     /// Resets a block to free (after erase).
     pub fn reset(&mut self, block: BlockId) {
-        self.blocks[block.0 as usize] = BlockInfo::default();
+        *self.get_mut(block) = BlockInfo::default();
+    }
+
+    /// Moves `block` from the index slots `before` placed it in to the ones
+    /// its current entry belongs in.
+    fn reindex(&mut self, block: BlockId, before: BlockInfo) {
+        let i = block.0 as usize;
+        let after = self.blocks[i];
+        let (old_inv, old_ret) = victim_scores(&before, self.pages_per_block);
+        let (new_inv, new_ret) = victim_scores(&after, self.pages_per_block);
+        self.by_invalid.rescore(old_inv, new_inv, i);
+        self.by_retained.rescore(old_ret, new_ret, i);
+        if before.kind != after.kind {
+            match after.kind {
+                BlockKind::Delta(fid) => self.delta_blocks.insert(block, fid),
+                _ => self.delta_blocks.remove(&block),
+            };
+        }
+    }
+
+    /// The greedy GC victim (§3.8): the closed data block with the most
+    /// invalid pages, skipping blocks `skip` rejects (open blocks). Ties go
+    /// to the highest block id.
+    pub fn gc_victim(&self, skip: impl Fn(BlockId) -> bool) -> Option<BlockId> {
+        self.by_invalid.best(skip)
+    }
+
+    /// The idle-compression victim (§3.6): the closed data block with the
+    /// most retained (invalid, not yet reclaimable) pages, skipping blocks
+    /// `skip` rejects. Ties go to the highest block id.
+    pub fn compress_victim(&self, skip: impl Fn(BlockId) -> bool) -> Option<BlockId> {
+        self.by_retained.best(skip)
+    }
+
+    /// Delta blocks and their filters, in block order.
+    pub fn delta_blocks(&self) -> impl Iterator<Item = (BlockId, FilterId)> + '_ {
+        self.delta_blocks.iter().map(|(b, f)| (*b, *f))
+    }
+
+    /// Test hook: overwrites a block entry *without* re-indexing, forging
+    /// the stale-index corruption the consistency audit exists to catch.
+    #[cfg(test)]
+    pub(crate) fn set_unindexed(&mut self, block: BlockId, info: BlockInfo) {
+        self.blocks[block.0 as usize] = info;
+    }
+
+    /// True when the indices equal ones rebuilt from scratch through the
+    /// table's own mutators — the consistency checker's audit.
+    pub fn indices_consistent(&self) -> bool {
+        let mut fresh = Bst::new(self.blocks.len() as u64, self.pages_per_block);
+        for (block, info) in self.iter() {
+            *fresh.get_mut(block) = *info;
+        }
+        fresh.by_invalid == self.by_invalid
+            && fresh.by_retained == self.by_retained
+            && fresh.delta_blocks == self.delta_blocks
     }
 }
 
@@ -622,14 +824,146 @@ mod tests {
 
     #[test]
     fn bst_invalid_derives_from_counts() {
-        let mut bst = Bst::new(2);
-        let info = bst.get_mut(BlockId(0));
-        info.kind = BlockKind::Data;
-        info.written = 8;
-        info.valid = 5;
+        let mut bst = Bst::new(2, 8);
+        {
+            let mut info = bst.get_mut(BlockId(0));
+            info.kind = BlockKind::Data;
+            info.written = 8;
+            info.valid = 5;
+        }
         assert_eq!(bst.get(BlockId(0)).invalid(), 3);
+        assert_eq!(bst.gc_victim(|_| false), Some(BlockId(0)));
         bst.reset(BlockId(0));
         assert_eq!(bst.get(BlockId(0)).kind, BlockKind::Free);
+        assert_eq!(bst.gc_victim(|_| false), None);
+    }
+
+    // Reference implementations: the linear scans the BST indices replace.
+    // The bucket queries must return exactly what these return.
+
+    fn scan_gc_victim(bst: &Bst, ppb: u32, active: &[bool]) -> Option<BlockId> {
+        bst.iter()
+            .filter(|(b, info)| {
+                info.kind == BlockKind::Data
+                    && info.written == ppb
+                    && info.invalid() > 0
+                    && !active[b.0 as usize]
+            })
+            .max_by_key(|(_, info)| info.invalid())
+            .map(|(b, _)| b)
+    }
+
+    fn scan_compress_victim(bst: &Bst, ppb: u32, active: &[bool]) -> Option<BlockId> {
+        bst.iter()
+            .filter(|(b, info)| {
+                info.kind == BlockKind::Data
+                    && info.written == ppb
+                    && info.invalid() > info.reclaimable
+                    && !active[b.0 as usize]
+            })
+            .max_by_key(|(_, info)| info.invalid() - info.reclaimable)
+            .map(|(b, _)| b)
+    }
+
+    fn scan_expired_delta(bst: &Bst, live: &[bool]) -> Option<(BlockId, FilterId)> {
+        bst.iter().find_map(|(b, info)| match info.kind {
+            BlockKind::Delta(fid) if !live[fid as usize] => Some((b, fid)),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn bst_indices_match_linear_scans_under_random_mutation() {
+        // Few pages per block and few filters force many score ties; 70
+        // blocks span two bitset words, the second one partial.
+        const BLOCKS: u64 = 70;
+        const PPB: u32 = 4;
+        const FILTERS: u64 = 4;
+        for case in 0..40 {
+            let mut rng = proptest::TestRng::for_case("bst_indices_match_linear_scans", case);
+            let mut bst = Bst::new(BLOCKS, PPB);
+            for _ in 0..400 {
+                let block = BlockId(rng.below(BLOCKS));
+                match rng.below(6) {
+                    0 => bst.reset(block),
+                    1 => bst.count_program(block, rng.below(2) == 0),
+                    2 => {
+                        let mut info = bst.get_mut(block);
+                        info.valid = info.valid.saturating_sub(1);
+                    }
+                    3 => {
+                        let mut info = bst.get_mut(block);
+                        if info.reclaimable < info.invalid() {
+                            info.reclaimable += 1;
+                        }
+                    }
+                    _ => {
+                        let kind = match rng.below(3) {
+                            0 => BlockKind::Free,
+                            1 => BlockKind::Data,
+                            _ => BlockKind::Delta(rng.below(FILTERS)),
+                        };
+                        let written = if rng.below(2) == 0 {
+                            PPB
+                        } else {
+                            rng.below(u64::from(PPB) + 1) as u32
+                        };
+                        let valid = rng.below(u64::from(written) + 1) as u32;
+                        let reclaimable = rng.below(u64::from(written - valid) + 1) as u32;
+                        *bst.get_mut(block) = BlockInfo {
+                            kind,
+                            written,
+                            valid,
+                            reclaimable,
+                        };
+                    }
+                }
+                let active: Vec<bool> = (0..BLOCKS).map(|_| rng.below(5) == 0).collect();
+                let live: Vec<bool> = (0..FILTERS).map(|_| rng.below(2) == 0).collect();
+                let skip = |b: BlockId| active[b.0 as usize];
+                assert_eq!(bst.gc_victim(skip), scan_gc_victim(&bst, PPB, &active));
+                assert_eq!(
+                    bst.compress_victim(skip),
+                    scan_compress_victim(&bst, PPB, &active)
+                );
+                assert_eq!(
+                    bst.delta_blocks().find(|(_, f)| !live[*f as usize]),
+                    scan_expired_delta(&bst, &live)
+                );
+                assert!(bst.indices_consistent());
+            }
+        }
+    }
+
+    #[test]
+    fn bst_ties_go_to_the_highest_block_and_skip_open_blocks() {
+        let mut bst = Bst::new(130, 4);
+        for b in [3u64, 64, 129] {
+            *bst.get_mut(BlockId(b)) = BlockInfo {
+                kind: BlockKind::Data,
+                written: 4,
+                valid: 2,
+                reclaimable: 0,
+            };
+        }
+        assert_eq!(bst.gc_victim(|_| false), Some(BlockId(129)));
+        assert_eq!(bst.gc_victim(|b| b.0 == 129), Some(BlockId(64)));
+        assert_eq!(bst.compress_victim(|b| b.0 > 3), Some(BlockId(3)));
+        assert_eq!(bst.gc_victim(|_| true), None);
+    }
+
+    #[test]
+    fn stale_bst_index_is_detected() {
+        let mut bst = Bst::new(8, 4);
+        assert!(bst.indices_consistent());
+        bst.set_unindexed(
+            BlockId(2),
+            BlockInfo {
+                kind: BlockKind::Delta(1),
+                ..BlockInfo::default()
+            },
+        );
+        assert!(!bst.indices_consistent());
     }
 
     #[test]

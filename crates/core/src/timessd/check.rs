@@ -59,6 +59,11 @@ pub enum Violation {
         /// The configured bound.
         deadline: u64,
     },
+    /// A derived index disagrees with one rebuilt from the state it indexes:
+    /// the BST's victim buckets or delta-block map (`"BST"`), or the flash
+    /// erase-count histogram (`"erase-count"`). GC, idle compression or wear
+    /// leveling would act on a stale view.
+    StaleIndex(&'static str),
     /// One AMT shard holds more than twice the mean occupancy — the
     /// `lpa % shards` partition degenerated and parallel queries would
     /// serialize on that shard. Reported only by the explicitly-invoked
@@ -118,6 +123,9 @@ impl fmt::Display for Violation {
                     f,
                     "pending tombstone volatile for {age}ns, past the {deadline}ns deadline"
                 )
+            }
+            Violation::StaleIndex(name) => {
+                write!(f, "{name} index disagrees with a rebuild from scratch")
             }
             Violation::ShardSkew {
                 shard,
@@ -187,8 +195,7 @@ impl TimeSsd {
         }
 
         // 2. BST valid counters match a PVT recount; free blocks are empty;
-        //    reclaimable pages are never valid; delta blocks have live filters.
-        let live: HashSet<u64> = self.chain.infos().iter().map(|i| i.id).collect();
+        //    reclaimable pages are never valid; delta blocks hold delta pages.
         for (block, info) in self.bst.iter() {
             let mut recount = 0;
             for off in 0..geo.pages_per_block {
@@ -215,13 +222,10 @@ impl TimeSsd {
                             .push(Violation::FreeBlockNotEmpty(block.0));
                     }
                 }
-                BlockKind::Delta(fid) => {
-                    // An expired filter's blocks are legal only until GC
-                    // erases them lazily; they must at least still hold
-                    // delta pages, not data.
-                    if !live.contains(&fid) {
-                        // Lazy-erase pending: acceptable, not a violation.
-                    }
+                BlockKind::Delta(_) => {
+                    // An expired filter's blocks are legal until GC erases
+                    // them lazily; they must at least still hold delta
+                    // pages, not data.
                     for off in 0..info.written.min(geo.pages_per_block) {
                         let ppa = geo.ppa(block.0, off);
                         if let Ok((data, _)) = self.flash.peek(ppa) {
@@ -356,6 +360,16 @@ impl TimeSsd {
                     }
                 }
             }
+        }
+
+        // 7. Index audit: the BST's victim buckets and delta-block map and
+        //    the flash erase-count histogram must equal indices rebuilt from
+        //    the entries they summarise.
+        if !self.bst.indices_consistent() {
+            report.violations.push(Violation::StaleIndex("BST"));
+        }
+        if !self.flash.wear_index_consistent() {
+            report.violations.push(Violation::StaleIndex("erase-count"));
         }
         report
     }
@@ -625,6 +639,28 @@ mod tests {
         assert!(report
             .violations
             .contains(&Violation::FreeBlockNotEmpty(free.0)));
+    }
+
+    #[test]
+    fn detects_stale_bst_index() {
+        let mut ssd = built();
+        let free = ssd
+            .bst
+            .iter()
+            .find(|(_, info)| info.kind == BlockKind::Free)
+            .map(|(b, _)| b)
+            .expect("a free block exists");
+        // Relabel the block behind the indices' back: the delta-block map
+        // no longer matches the entries.
+        ssd.bst.set_unindexed(
+            free,
+            crate::tables::BlockInfo {
+                kind: BlockKind::Delta(0),
+                ..Default::default()
+            },
+        );
+        let report = ssd.check_consistency();
+        assert_eq!(report.violations, vec![Violation::StaleIndex("BST")]);
     }
 
     #[test]

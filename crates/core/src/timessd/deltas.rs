@@ -286,6 +286,9 @@ impl DeltaManager {
     /// The returned [`BarrierFlush`] carries the time and programs of the
     /// buffers flushed *before* any fault — partial work happened on real
     /// flash and must be charged even when the barrier as a whole fails.
+    ///
+    /// Buffers flush in ascending filter order, so the flash state after a
+    /// barrier is the same in every process (not `HashMap` order).
     pub fn flush_all(
         &mut self,
         bst: &mut Bst,
@@ -293,7 +296,8 @@ impl DeltaManager {
         now: Nanos,
         page_cost: Nanos,
     ) -> BarrierFlush {
-        let filters: Vec<FilterId> = self.buffers.keys().copied().collect();
+        let mut filters: Vec<FilterId> = self.buffers.keys().copied().collect();
+        filters.sort_unstable();
         let mut t = now;
         let mut programs = 0;
         for f in filters {
@@ -436,7 +440,7 @@ mod tests {
         (
             DeltaManager::new(geo, 8),
             Allocator::new(geo),
-            Bst::new(geo.total_blocks()),
+            Bst::new(geo.total_blocks(), geo.pages_per_block),
             FlashArray::new(geo, LatencyConfig::default()),
         )
     }
@@ -551,7 +555,7 @@ mod tests {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 3);
         let mut alloc = Allocator::new(geo);
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(geo.total_blocks(), geo.pages_per_block);
         let mut flash = FlashArray::new(geo, LatencyConfig::default());
         let mut programs = 0;
         for i in 0..2 {
@@ -575,7 +579,7 @@ mod tests {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 1);
         let mut alloc = Allocator::new(geo);
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(geo.total_blocks(), geo.pages_per_block);
         let mut flash = FlashArray::new(geo, LatencyConfig::default());
         for i in 0..3 {
             let out = mgr
@@ -621,7 +625,7 @@ mod tests {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
         let mut alloc = Allocator::new(geo);
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(geo.total_blocks(), geo.pages_per_block);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(0));
         let out = mgr
@@ -643,7 +647,7 @@ mod tests {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
         let mut alloc = Allocator::new(geo);
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(geo.total_blocks(), geo.pages_per_block);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(0));
         mgr.append(0, record(1, 10, 8), &mut alloc, &mut bst, &mut flash, 0)
@@ -669,7 +673,7 @@ mod tests {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
         let mut alloc = Allocator::new(geo);
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(geo.total_blocks(), geo.pages_per_block);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(1));
         mgr.append(0, record(1, 10, 8), &mut alloc, &mut bst, &mut flash, 0)

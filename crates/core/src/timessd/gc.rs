@@ -1,8 +1,6 @@
 //! Garbage collection (Algorithm 1, §3.8), delta compression of retained
 //! versions (§3.6–3.7), background idle-time compression, and wear leveling.
 
-use std::collections::HashSet;
-
 use almanac_bloom::FilterId;
 use almanac_flash::{BlockId, DeltaBody, DeltaRecord, Lpa, Nanos, Oob, PageData, Ppa};
 
@@ -57,18 +55,9 @@ impl Budget {
     fn exhausted(&self) -> bool {
         matches!(self.remaining, Some(0))
     }
-
-    /// True when fewer than `floor` nanoseconds remain.
-    fn below(&self, floor: Nanos) -> bool {
-        matches!(self.remaining, Some(r) if r < floor)
-    }
 }
 
 impl TimeSsd {
-    fn live_filters_set(&self) -> HashSet<FilterId> {
-        self.chain.infos().iter().map(|i| i.id).collect()
-    }
-
     /// Models the compressed size of one synthetic old version: a Gaussian
     /// compression ratio (mean/std from the config, as in §5.2 of the paper)
     /// drawn deterministically from the page identity.
@@ -274,29 +263,13 @@ impl TimeSsd {
         }
     }
 
-    /// Picks the closed data block with the most invalid pages.
-    fn pick_victim(&self) -> Option<BlockId> {
-        let ppb = self.config.geometry.pages_per_block;
-        self.bst
-            .iter()
-            .filter(|(b, info)| {
-                info.kind == BlockKind::Data
-                    && info.written == ppb
-                    && info.invalid() > 0
-                    && !self.alloc.is_active(*b)
-            })
-            .max_by_key(|(_, info)| info.invalid())
-            .map(|(b, _)| b)
-    }
-
     /// Finds a delta block whose Bloom filter is gone: every delta in it is
     /// expired, so it can be erased with zero migration (Algorithm 1, line 2).
+    /// The lowest such block id wins.
     fn find_expired_delta_block(&self) -> Option<(BlockId, FilterId)> {
-        let live = self.live_filters_set();
-        self.bst.iter().find_map(|(b, info)| match info.kind {
-            BlockKind::Delta(fid) if !live.contains(&fid) => Some((b, fid)),
-            _ => None,
-        })
+        self.bst
+            .delta_blocks()
+            .find(|(_, fid)| !self.chain.is_live(*fid))
     }
 
     fn erase_block(&mut self, block: BlockId, t: Nanos) -> Result<Nanos> {
@@ -322,7 +295,7 @@ impl TimeSsd {
             return Ok(true);
         }
         // Line 5: victim data block with the most invalid pages.
-        let Some(victim) = self.pick_victim() else {
+        let Some(victim) = self.bst.gc_victim(|b| self.alloc.is_active(b)) else {
             return Ok(false);
         };
         let geo = self.config.geometry;
@@ -471,7 +444,6 @@ impl TimeSsd {
                 break;
             }
             self.stats.gc_runs += 1;
-            let before = self.alloc.free_blocks();
             let start = now.max(self.busy_until);
             // A GC pass can itself run out of blocks (delta pages need
             // space). That is the §3.4 pressure point: shrink the window and
@@ -490,7 +462,6 @@ impl TimeSsd {
                 }
                 Err(e) => return Err(e),
             };
-            let _ = before;
             // Only a genuine lack of victims forces the window shorter —
             // a pass that erased something made progress even if the freed
             // block was immediately re-opened for an active stream.
@@ -571,9 +542,7 @@ impl TimeSsd {
                 dest_off += 1;
                 let fixed_oob = Oob::new(owner.unwrap_or(oob.lpa), oob.back_ptr, oob.timestamp);
                 t = self.flash.program(new_ppa, data, fixed_oob, t)?;
-                let info = self.bst.get_mut(dest);
-                info.written += 1;
-                info.valid += 1;
+                self.bst.count_program(dest, true);
                 self.pvt.set(new_ppa, true);
                 if let Some(owner) = owner {
                     let entry = match self.amt.get(owner) {
@@ -609,58 +578,38 @@ impl TimeSsd {
             return Ok(());
         }
         let window = now - self.last_io_end;
-        if window < self.config.idle_threshold {
+        // Too short for even one read and one delta program.
+        let floor = self.config.latency.program_total() + self.config.latency.read_total();
+        if window < self.config.idle_threshold || window < floor {
             return Ok(());
         }
-        let start = self.last_io_end;
         let mut budget = Budget::bounded(window);
         // §3.6: each idle period compresses ONE victim flash block — the
         // block with the most retained (uncompressed) invalid pages.
-        let ppb = self.config.geometry.pages_per_block;
-        let floor = self.config.latency.program_total() + self.config.latency.read_total();
-        for _ in 0..1 {
-            if budget.below(floor) {
-                break;
-            }
-            let victim = self
-                .bst
-                .iter()
-                .filter(|(b, info)| {
-                    info.kind == BlockKind::Data
-                        && info.written == ppb
-                        && info.invalid() > info.reclaimable
-                        && !self.alloc.is_active(*b)
-                })
-                .max_by_key(|(_, info)| info.invalid() - info.reclaimable)
-                .map(|(b, _)| b);
-            let Some(victim) = victim else {
-                self.bg_scan_pointless = true;
-                break;
-            };
-            let geo = self.config.geometry;
-            let mut t = start;
-            for off in 0..ppb {
-                if budget.exhausted() {
-                    break;
-                }
-                let ppa = geo.ppa(victim.0, off);
-                if self.pvt.is_valid(ppa)
-                    || self.prt.is_reclaimable(ppa)
-                    || !self.chain.contains(self.group_of(ppa))
-                {
-                    continue;
-                }
-                if !budget.charge(self.config.latency.read_total()) {
-                    break;
-                }
-                let (_, oob, rt) = self.flash.read(ppa, t)?;
-                t = rt;
-                self.note_read(Cause::Background);
-                t = self.compress_versions_of(oob.lpa, t, &mut budget, Cause::Background)?;
-            }
+        let Some(victim) = self.bst.compress_victim(|b| self.alloc.is_active(b)) else {
+            self.bg_scan_pointless = true;
+            return Ok(());
+        };
+        let geo = self.config.geometry;
+        let mut t = self.last_io_end;
+        for off in 0..geo.pages_per_block {
             if budget.exhausted() {
                 break;
             }
+            let ppa = geo.ppa(victim.0, off);
+            if self.pvt.is_valid(ppa)
+                || self.prt.is_reclaimable(ppa)
+                || !self.chain.contains(self.group_of(ppa))
+            {
+                continue;
+            }
+            if !budget.charge(self.config.latency.read_total()) {
+                break;
+            }
+            let (_, oob, rt) = self.flash.read(ppa, t)?;
+            t = rt;
+            self.note_read(Cause::Background);
+            t = self.compress_versions_of(oob.lpa, t, &mut budget, Cause::Background)?;
         }
         Ok(())
     }

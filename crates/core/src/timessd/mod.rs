@@ -83,8 +83,9 @@ pub struct TimeSsd {
     /// strictly increasing per device so chain verification (decreasing
     /// timestamps, §3.7) stays sound even for back-to-back writes.
     pub(crate) last_ts: Nanos,
-    /// Perf guard: set when the last background-compression scan found no
-    /// candidate block; cleared by the next invalidation.
+    /// Set when the last idle-compression victim lookup found no candidate
+    /// block; background compression is skipped until the next
+    /// invalidation clears it.
     pub(crate) bg_scan_pointless: bool,
     /// DFTL-style demand cache of the AMT's translation pages, sliced per
     /// shard alongside the AMT itself.
@@ -118,7 +119,7 @@ impl TimeSsd {
             gmd: Gmd::new(exported, mappings_per_page),
             pvt: Pvt::new(geo.total_pages()),
             prt: Prt::new(geo.total_pages()),
-            bst: Bst::new(geo.total_blocks()),
+            bst: Bst::new(geo.total_blocks(), geo.pages_per_block),
             imt: ShardedImt::new(config.amt_shards),
             alloc: Allocator::new(geo),
             chain: BloomChain::new(config.bloom),
@@ -308,10 +309,8 @@ impl TimeSsd {
                 return Err(e.into());
             }
         };
-        let block = self.config.geometry.block_of(ppa);
-        let info = self.bst.get_mut(block);
-        info.written += 1;
-        info.valid += 1;
+        self.bst
+            .count_program(self.config.geometry.block_of(ppa), true);
         self.pvt.set(ppa, true);
         if let AmtEntry::Mapped(old) = self.amt.set(lpa, AmtEntry::Mapped(ppa)) {
             self.invalidate_retain(old, ts);
@@ -369,10 +368,8 @@ impl TimeSsd {
         // filters.
         self.pvt.set(old, false);
         self.bst.get_mut(self.config.geometry.block_of(old)).valid -= 1;
-        let block = self.config.geometry.block_of(ppa);
-        let info = self.bst.get_mut(block);
-        info.written += 1;
-        info.valid += 1;
+        self.bst
+            .count_program(self.config.geometry.block_of(ppa), true);
         self.pvt.set(ppa, true);
         if let Some(owner) = owner {
             // A trimmed head stays trimmed: migration moves bytes, not state.

@@ -79,7 +79,7 @@ impl TimeSsd {
             return true;
         }
         match self.bst.get(self.config.geometry.block_of(ppa)).kind {
-            BlockKind::Delta(fid) => self.chain.infos().iter().any(|i| i.id == fid),
+            BlockKind::Delta(fid) => self.chain.is_live(fid),
             _ => false,
         }
     }

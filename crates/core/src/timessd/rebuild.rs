@@ -29,7 +29,7 @@ use almanac_flash::{FlashArray, Lpa, Nanos, PageData, Ppa};
 use crate::alloc::Allocator;
 use crate::config::SsdConfig;
 use crate::stats::DeviceStats;
-use crate::tables::{AmtEntry, BlockKind, Bst, Gmd, Prt, Pvt, ShardedAmt, ShardedImt};
+use crate::tables::{AmtEntry, BlockInfo, BlockKind, Bst, Gmd, Prt, Pvt, ShardedAmt, ShardedImt};
 
 use super::deltas::DeltaManager;
 use super::idle::IdlePredictor;
@@ -50,7 +50,7 @@ impl TimeSsd {
         let mut amt = ShardedAmt::new(exported, config.amt_shards);
         let mut pvt = Pvt::new(geo.total_pages());
         let mut prt = Prt::new(geo.total_pages());
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(geo.total_blocks(), geo.pages_per_block);
         let mut imt = ShardedImt::new(config.amt_shards);
         let mut chain = BloomChain::new(config.bloom);
         let mut alloc = Allocator::new(geo);
@@ -178,19 +178,22 @@ impl TimeSsd {
         let mut invalid_pages: Vec<(Nanos, u64)> = Vec::new();
         for block in 0..geo.total_blocks() {
             let written = written_per_block[block as usize];
-            let info = bst.get_mut(almanac_flash::BlockId(block));
-            info.written = written;
             if written == 0 {
                 continue;
             }
             let first = geo.ppa(block, 0);
             let is_delta = matches!(flash.peek(first), Ok((PageData::DeltaPage(_), _)));
-            info.kind = if is_delta {
+            let kind = if is_delta {
                 // Rebuilt delta blocks are assigned to filter id 0 (the
                 // rebuild segment created below).
                 BlockKind::Delta(0)
             } else {
                 BlockKind::Data
+            };
+            *bst.get_mut(almanac_flash::BlockId(block)) = BlockInfo {
+                kind,
+                written,
+                ..BlockInfo::default()
             };
             for off in 0..written {
                 let ppa = geo.ppa(block, off);

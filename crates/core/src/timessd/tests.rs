@@ -216,6 +216,42 @@ fn batched_trim_is_volatile_until_flush_barrier() {
     assert!(rebuilt.check_consistency().is_clean());
 }
 
+/// A barrier that drains several filters' buffers leaves the same flash
+/// state on every identically driven device: buffers flush in filter order,
+/// not in the hash order of each device's own buffer map.
+#[test]
+fn barrier_flush_places_pages_deterministically() {
+    let run = || {
+        // One key per Bloom filter, so every trim opens its own filter and
+        // buffers its tombstone separately.
+        let mut ssd = TimeSsd::new(medium_cfg().with_bloom(ChainConfig {
+            bits_per_filter: 1 << 10,
+            hashes: 3,
+            capacity: 1,
+        }));
+        let mut now = SEC_NS;
+        for l in 0..8u64 {
+            now = ssd.write(Lpa(l), synthetic(l, 1), now).unwrap().finish + SEC_NS;
+        }
+        // Well inside the tombstone-aging deadline, so only the barrier
+        // flushes the buffers.
+        for l in 0..8u64 {
+            now = ssd.trim(Lpa(l), now).unwrap().finish + MS_NS;
+        }
+        assert!(
+            ssd.buffered_delta_pages() >= 2,
+            "barrier drains several filters"
+        );
+        ssd.flush(now).unwrap();
+        assert_eq!(ssd.buffered_delta_pages(), 0);
+        ssd.flash().state_digest()
+    };
+    let first = run();
+    for _ in 0..3 {
+        assert_eq!(run(), first);
+    }
+}
+
 #[test]
 fn flush_fences_in_flight_writes_and_charges_costs() {
     // Regression (flush-path timing): an fsync issued at a write's arrival

@@ -1,5 +1,7 @@
 //! The flash array: blocks, pages, and the per-chip timing model.
 
+use std::hash::{Hash, Hasher};
+
 use crate::addr::{BlockId, Nanos, Ppa};
 use crate::error::{FlashError, FlashResult};
 use crate::fault::{FaultPlan, FlashOp};
@@ -83,6 +85,22 @@ impl Block {
     }
 }
 
+/// 64-bit FNV-1a over whatever the stored values' `Hash` impls feed it.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The simulated flash array.
 ///
 /// All operations take the current virtual time `now` and return the
@@ -117,6 +135,12 @@ pub struct FlashArray {
     class_issued: [u64; 3],
     /// Set once a scheduled power cut fires; cleared by [`Self::revive`].
     powered_off: bool,
+    /// `erase_hist[c]` = blocks erased exactly `c` times, updated by
+    /// [`Self::erase`] (the only place an erase count changes) so
+    /// [`Self::wear_spread`] is O(1). The last entry is always non-zero.
+    erase_hist: Vec<u32>,
+    /// Lowest erase count of any block: the first non-zero histogram entry.
+    min_erases: u32,
 }
 
 impl FlashArray {
@@ -136,6 +160,8 @@ impl FlashArray {
             ops_issued: 0,
             class_issued: [0; 3],
             powered_off: false,
+            erase_hist: vec![geometry.total_blocks() as u32],
+            min_erases: 0,
         }
     }
 
@@ -351,6 +377,15 @@ impl FlashArray {
         }
         block.write_ptr = 0;
         block.erase_count += 1;
+        let count = block.erase_count as usize;
+        if count == self.erase_hist.len() {
+            self.erase_hist.push(0);
+        }
+        self.erase_hist[count - 1] -= 1;
+        self.erase_hist[count] += 1;
+        while self.erase_hist[self.min_erases as usize] == 0 {
+            self.min_erases += 1;
+        }
         let chip = self.geometry.chip_of_block(block_id);
         let finish = self.occupy_chip(chip, now, self.latency.erase_ns);
         self.stats.erases += 1;
@@ -393,35 +428,35 @@ impl FlashArray {
     /// state (timing horizons, stats, fault bookkeeping) is excluded so the
     /// digest survives a power cut + revive unchanged.
     pub fn state_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         for block in &self.blocks {
-            eat(&block.write_ptr.to_le_bytes());
-            eat(&block.erase_count.to_le_bytes());
+            (block.write_ptr, block.erase_count).hash(&mut h);
             for page in &block.pages {
                 if page.state == PageState::Written {
-                    // Debug output is a pure function of the stored value,
-                    // which is all the digest needs.
-                    eat(format!("{:?}|{:?};", page.data, page.oob).as_bytes());
+                    (&page.data, page.oob).hash(&mut h);
                 }
             }
         }
-        h
+        h.finish()
     }
 
     /// Spread (max - min) of erase counts across all blocks — the wear
-    /// imbalance metric used by wear-leveling tests.
+    /// imbalance metric wear leveling acts on. O(1): read off the erase-count
+    /// histogram.
     pub fn wear_spread(&self) -> u32 {
-        let min = self.blocks.iter().map(|b| b.erase_count).min().unwrap_or(0);
+        (self.erase_hist.len() as u32 - 1) - self.min_erases
+    }
+
+    /// True when the erase-count histogram equals one rebuilt from the
+    /// blocks' erase counts — the consistency checker's audit.
+    pub fn wear_index_consistent(&self) -> bool {
         let max = self.blocks.iter().map(|b| b.erase_count).max().unwrap_or(0);
-        max - min
+        let mut hist = vec![0u32; max as usize + 1];
+        for b in &self.blocks {
+            hist[b.erase_count as usize] += 1;
+        }
+        let min = hist.iter().position(|&n| n > 0).unwrap_or(0) as u32;
+        hist == self.erase_hist && min == self.min_erases
     }
 }
 
@@ -661,5 +696,50 @@ mod tests {
         f.erase(BlockId(0), 0).unwrap();
         f.erase(BlockId(1), 0).unwrap();
         assert_eq!(f.wear_spread(), 2);
+    }
+
+    #[test]
+    fn wear_spread_matches_a_linear_scan_under_random_erases() {
+        // Reference: the two passes over every block the histogram replaces.
+        let scan = |f: &FlashArray| {
+            let counts = || f.blocks.iter().map(|b| b.erase_count);
+            counts().max().unwrap_or(0) - counts().min().unwrap_or(0)
+        };
+        let (mut worn, mut injected) = (0, 0);
+        for case in 0..20 {
+            let mut rng = proptest::TestRng::for_case("wear_spread_matches_a_linear_scan", case);
+            // Worn-out refusals (endurance 6) and injected erase faults both
+            // fail an erase without changing any erase count.
+            let plan = (0..8).fold(FaultPlan::new(case.into()), |p, _| {
+                p.with_erase_fault(rng.below(300))
+            });
+            let mut f = FlashArray::new(Geometry::small_test(), LatencyConfig::default())
+                .with_endurance(6)
+                .with_fault_plan(plan);
+            let blocks = f.geometry().total_blocks();
+            for _ in 0..300 {
+                // Skew toward low block ids so the spread grows and shrinks.
+                let bound = rng.below(blocks) + 1;
+                let b = BlockId(rng.below(bound));
+                match f.erase(b, 0) {
+                    Ok(_) => {}
+                    Err(FlashError::WornOut(_)) => worn += 1,
+                    Err(FlashError::Injected { .. }) => injected += 1,
+                    Err(e) => panic!("unexpected erase error {e:?}"),
+                }
+                assert_eq!(f.wear_spread(), scan(&f));
+                assert!(f.wear_index_consistent());
+            }
+        }
+        assert!(worn > 0 && injected > 0, "both kinds of refusal exercised");
+    }
+
+    #[test]
+    fn stale_erase_histogram_is_detected() {
+        let mut f = fixture();
+        f.erase(BlockId(3), 0).unwrap();
+        assert!(f.wear_index_consistent());
+        f.blocks[5].erase_count += 1;
+        assert!(!f.wear_index_consistent());
     }
 }

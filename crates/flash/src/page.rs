@@ -21,7 +21,7 @@ use crate::addr::{Lpa, Nanos, Ppa};
 /// assert_eq!(a, b);
 /// assert!(a.is_synthetic());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PageData {
     /// An all-zero page (fresh or trimmed content).
     Zeros,
@@ -95,7 +95,7 @@ impl PageData {
 /// The paper reserves 12 OOB bytes per page for exactly these three fields
 /// (§3.7): the owning LPA, a back-pointer to the previous version's physical
 /// page, and the write timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Oob {
     /// Logical page this physical page belongs to.
     pub lpa: Lpa,
@@ -118,7 +118,7 @@ impl Oob {
 }
 
 /// Compressed body of one retained old version.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DeltaBody {
     /// Model-driven delta for synthetic content: remembers the identity of the
     /// old version and the modelled compressed size.
@@ -144,7 +144,7 @@ pub enum DeltaBody {
 /// Mirrors the per-delta metadata of §3.7: LPA, back-pointer, own write
 /// timestamp, and the write timestamp of the reference version needed for
 /// decompression.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DeltaRecord {
     /// Logical page this delta belongs to.
     pub lpa: Lpa,
@@ -189,7 +189,7 @@ impl DeltaRecord {
 /// The header fields of the paper (number of deltas, byte offset of each
 /// delta, per-delta metadata) are represented structurally: `deltas.len()`,
 /// the cumulative `size` prefix sums, and the records themselves.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Hash)]
 pub struct DeltaPage {
     /// Packed deltas, newest first.
     pub deltas: Vec<DeltaRecord>,
