@@ -153,10 +153,20 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
                 return Err(CodecError::Corrupt("back-reference before start"));
             }
             let start = out.len() - dist;
-            // Overlapping copies are legal; copy byte by byte.
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            if dist == 1 {
+                // A run of one byte.
+                let b = out[start];
+                out.resize(out.len() + len, b);
+            } else {
+                // Everything from `start` on repeats with period `dist`, so
+                // each pass may copy all of it: one pass when the match
+                // does not overlap itself (`dist >= len`), otherwise whole
+                // periods, doubling per pass.
+                let end = out.len() + len;
+                while out.len() < end {
+                    let n = (end - out.len()).min(out.len() - start);
+                    out.extend_from_within(start..start + n);
+                }
             }
         }
     }
@@ -172,6 +182,188 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The byte-at-a-time decoder `decompress` replaced, kept as the
+    /// reference its run copies must match exactly, errors included.
+    fn decompress_bytewise(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::with_capacity(expected_len);
+        let mut i = 0usize;
+        while i < input.len() {
+            let ctrl = input[i] as usize;
+            i += 1;
+            if ctrl < MAX_LIT {
+                let n = ctrl + 1;
+                if i + n > input.len() {
+                    return Err(CodecError::Corrupt("literal run past end of stream"));
+                }
+                out.extend_from_slice(&input[i..i + n]);
+                i += n;
+            } else {
+                let mut len = ctrl >> 5;
+                if len == 7 {
+                    if i >= input.len() {
+                        return Err(CodecError::Corrupt("missing length extension byte"));
+                    }
+                    len += input[i] as usize;
+                    i += 1;
+                }
+                len += 2;
+                if i >= input.len() {
+                    return Err(CodecError::Corrupt("missing offset byte"));
+                }
+                let off = ((ctrl & 0x1f) << 8) | input[i] as usize;
+                i += 1;
+                let dist = off + 1;
+                if dist > out.len() {
+                    return Err(CodecError::Corrupt("back-reference before start"));
+                }
+                let start = out.len() - dist;
+                for k in 0..len {
+                    let b = out[start + k];
+                    out.push(b);
+                }
+            }
+        }
+        if out.len() != expected_len {
+            return Err(CodecError::LengthMismatch {
+                expected: expected_len,
+                actual: out.len(),
+            });
+        }
+        Ok(out)
+    }
+
+    /// Both decoders agree on `stream` at its true output length (if it
+    /// has one) and at a few wrong ones; returns the decoded length.
+    fn assert_same_decode(stream: &[u8]) -> Option<usize> {
+        let decoded = match decompress_bytewise(stream, 0) {
+            Ok(_) => Some(0),
+            Err(CodecError::LengthMismatch { actual, .. }) => Some(actual),
+            Err(CodecError::Corrupt(_)) => None,
+        };
+        let n = decoded.unwrap_or(0);
+        for expected in [n, n.saturating_sub(1), n + 1, 0, 4096] {
+            assert_eq!(
+                decompress(stream, expected),
+                decompress_bytewise(stream, expected),
+                "stream {stream:?}, expected length {expected}"
+            );
+        }
+        decoded
+    }
+
+    /// Literal tokens carrying `bytes`.
+    fn literal(bytes: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for chunk in bytes.chunks(MAX_LIT) {
+            out.push((chunk.len() - 1) as u8);
+            out.extend_from_slice(chunk);
+        }
+        out
+    }
+
+    /// One back-reference token copying `len` bytes from `dist` back (a
+    /// 2-byte match would encode as a literal control byte).
+    fn backref(len: usize, dist: usize) -> Vec<u8> {
+        assert!((3..=MAX_REF).contains(&len) && (1..=MAX_OFF).contains(&dist));
+        let (l, off) = (len - 2, dist - 1);
+        if l < 7 {
+            vec![((l as u8) << 5) | (off >> 8) as u8, off as u8]
+        } else {
+            vec![(7u8 << 5) | (off >> 8) as u8, (l - 7) as u8, off as u8]
+        }
+    }
+
+    fn random_bytes(rng: &mut StdRng, n: usize) -> Vec<u8> {
+        let mut v = vec![0u8; n];
+        rng.fill(&mut v);
+        v
+    }
+
+    #[test]
+    fn run_copies_match_bytewise_at_every_overlap() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for len in [3, 4, 8, 9, 10, 31, 64, 100, 263, MAX_REF] {
+            for dist in [1, 2, 3, len - 1, len, len + 1, MAX_OFF] {
+                if dist == 0 || dist > MAX_OFF {
+                    continue;
+                }
+                for prefix in [dist, dist + 5, dist - 1] {
+                    let mut stream = literal(&random_bytes(&mut rng, prefix));
+                    stream.extend(backref(len, dist));
+                    // A second reference over the first one's output.
+                    stream.extend(backref(len.max(4) - 1, dist));
+                    let decoded = assert_same_decode(&stream);
+                    assert_eq!(decoded.is_some(), prefix >= dist, "len {len} dist {dist}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_length_references_match_bytewise() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut stream = literal(&random_bytes(&mut rng, 300));
+        for dist in [1, 2, 3, 7, 263, 264, 265, 300] {
+            stream.extend(backref(MAX_REF, dist));
+        }
+        let n = assert_same_decode(&stream).expect("valid stream");
+        assert_eq!(n, 300 + 8 * MAX_REF);
+    }
+
+    #[test]
+    fn random_token_streams_match_bytewise() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..2_000 {
+            let mut stream = Vec::new();
+            let mut produced = 0usize;
+            for _ in 0..rng.gen_range(1..24usize) {
+                if produced == 0 || rng.gen_bool(0.3) {
+                    let n = rng.gen_range(1..80usize);
+                    stream.extend(literal(&random_bytes(&mut rng, n)));
+                    produced += n;
+                } else {
+                    let len = rng.gen_range(3..=MAX_REF);
+                    // Mostly valid distances, sometimes one past the start.
+                    let dist = match rng.gen_range(0..4u32) {
+                        0 => 1,
+                        1 => rng.gen_range(1..=len.min(produced)),
+                        2 => rng.gen_range(1..=produced.min(MAX_OFF)),
+                        _ => (produced + 1).min(MAX_OFF),
+                    };
+                    stream.extend(backref(len, dist));
+                    produced += len;
+                }
+            }
+            assert_same_decode(&stream);
+        }
+    }
+
+    #[test]
+    fn random_and_corrupt_streams_match_bytewise() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..2_000 {
+            let n = rng.gen_range(0..300usize);
+            assert_same_decode(&random_bytes(&mut rng, n));
+        }
+        // Real compressed pages: every truncation and one flipped byte at
+        // every position.
+        let mut page: Vec<u8> = (0..4096).map(|i| (i / 97) as u8).collect();
+        for k in 0..40 {
+            page[k * 101] ^= 0x5a;
+        }
+        let packed = compress(&page).unwrap();
+        assert_eq!(assert_same_decode(&packed), Some(page.len()));
+        for cut in 0..packed.len() {
+            assert_same_decode(&packed[..cut]);
+        }
+        for at in 0..packed.len() {
+            let mut bad = packed.clone();
+            bad[at] ^= 1 << rng.gen_range(0..8u32);
+            assert_same_decode(&bad);
+        }
+    }
 
     fn roundtrip(data: &[u8]) {
         // Incompressible input (`None`) is a valid outcome.

@@ -25,6 +25,8 @@ pub mod rebuild;
 pub mod retention;
 
 #[cfg(test)]
+mod query_equivalence;
+#[cfg(test)]
 mod tests;
 
 use almanac_bloom::BloomChain;

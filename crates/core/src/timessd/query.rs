@@ -9,6 +9,8 @@
 //! strictly decreasing timestamp, so chains broken by GC or expiry terminate
 //! cleanly instead of returning wrong data.
 
+use std::borrow::Cow;
+
 use almanac_flash::{DeltaBody, DeltaPage, Lpa, Nanos, PageData, Ppa};
 
 use crate::error::{AlmanacError, Result};
@@ -63,13 +65,13 @@ pub struct VersionInfo {
 const MAX_CHAIN: usize = 65_536;
 
 impl TimeSsd {
-    /// Reads a delta page, transparently resolving unflushed buffers.
-    pub(crate) fn delta_page_at(&self, ppa: Ppa) -> Option<DeltaPage> {
+    /// Borrows a delta page, transparently resolving unflushed buffers.
+    pub(crate) fn delta_page_at(&self, ppa: Ppa) -> Option<&DeltaPage> {
         if let Some(page) = self.deltas.buffered_page(ppa) {
-            return Some(page.clone());
+            return Some(page);
         }
         match self.flash.peek(ppa) {
-            Ok((PageData::DeltaPage(dp), _)) => Some(dp.as_ref().clone()),
+            Ok((PageData::DeltaPage(dp), _)) => Some(dp),
             _ => None,
         }
     }
@@ -163,7 +165,15 @@ impl TimeSsd {
             // Delta page (flushed or buffered)?
             if let Some(dp) = self.delta_page_at(ppa) {
                 if !self.delta_page_live(ppa) {
-                    break; // expired segment
+                    // Expired segment: what it held is gone, but a stale
+                    // back-pointer can land here while newer versions sit
+                    // in live delta pages — fall back to the IMT head like
+                    // any other broken link.
+                    if tried_imt {
+                        break;
+                    }
+                    cursor = None;
+                    continue;
                 }
                 let best = dp
                     .deltas
@@ -257,7 +267,7 @@ impl TimeSsd {
     /// versions) as needed. Uses the device's configured retention key, i.e.
     /// the authorized-owner path.
     pub fn version_content(&self, lpa: Lpa, timestamp: Nanos) -> Result<PageData> {
-        self.version_content_keyed(lpa, timestamp, self.config.retention_key, 0)
+        self.version_content_with_key(lpa, timestamp, self.config.retention_key)
     }
 
     /// Like [`Self::version_content`] but decrypting retained data with the
@@ -270,11 +280,15 @@ impl TimeSsd {
         timestamp: Nanos,
         key: Option<u64>,
     ) -> Result<PageData> {
-        self.version_content_keyed(lpa, timestamp, key, 0)
+        self.decode_in_chain(&self.version_chain(lpa), lpa, timestamp, key, 0)
     }
 
-    fn version_content_keyed(
+    /// Decodes the version of `lpa` at `timestamp` from `chain`, the page's
+    /// version chain, resolving reference versions against the same chain:
+    /// `&self` cannot change between the steps, so one walk serves them all.
+    fn decode_in_chain(
         &self,
+        chain: &[VersionInfo],
         lpa: Lpa,
         timestamp: Nanos,
         key: Option<u64>,
@@ -283,7 +297,6 @@ impl TimeSsd {
         if depth > 64 {
             return Err(AlmanacError::DecodeFailed("reference chain too deep"));
         }
-        let chain = self.version_chain(lpa);
         let Some(v) = chain.iter().find(|v| v.timestamp == timestamp) else {
             return Err(AlmanacError::NoSuchVersion { lpa, at: timestamp });
         };
@@ -314,10 +327,10 @@ impl TimeSsd {
                         let ref_bytes = if rec.ref_timestamp == REF_ZEROS {
                             vec![0u8; page_size]
                         } else {
-                            self.version_content_keyed(lpa, rec.ref_timestamp, key, depth + 1)?
+                            self.decode_in_chain(chain, lpa, rec.ref_timestamp, key, depth + 1)?
                                 .materialize(page_size)
                         };
-                        let mut payload = encoded.clone();
+                        let mut payload = Cow::Borrowed(encoded.as_slice());
                         if self.config.retention_key.is_some() {
                             // Decrypt with whatever key the caller supplied;
                             // a wrong key yields garbage that fails to decode
@@ -326,7 +339,7 @@ impl TimeSsd {
                                 key.unwrap_or(0),
                                 lpa,
                                 rec.timestamp,
-                                &mut payload,
+                                payload.to_mut(),
                             );
                         }
                         let old = almanac_compress::delta::decode(&ref_bytes, &payload)
